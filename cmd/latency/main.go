@@ -173,7 +173,7 @@ func main() {
 	}
 	fmt.Printf("\nqueries with increased latency: %d of %d\n", worse, *flagN)
 	fmt.Println("completion (max over queries):",
-		fmt.Sprintf("whereMany %.1f, whereConsolidated %.1f", maxLat(&many.Metrics), maxLat(&cons.Metrics)))
+		fmt.Sprintf("whereMany %.1f, whereConsolidated %.1f", maxLat(many), maxLat(&cons.Result)))
 	if trivial {
 		fmt.Println("pre-filter: trivial guard (stage skipped)")
 	} else {
@@ -279,7 +279,7 @@ func recPerSec(records int, udf time.Duration) float64 {
 	return float64(records) / udf.Seconds()
 }
 
-func maxLat(m *engine.Metrics) float64 {
+func maxLat(m *engine.Result) float64 {
 	best := 0.0
 	for q := 0; q < m.UDFs; q++ {
 		if l := m.MeanLatency(q); l > best {

@@ -175,7 +175,7 @@ func Run(cfg Config) (*Outcome, error) {
 		return nil, fmt.Errorf("bench: whereConsolidated: %w", err)
 	}
 
-	meanLat := func(m *engine.Metrics) float64 {
+	meanLat := func(m *engine.Result) float64 {
 		if m.UDFs == 0 {
 			return 0
 		}
@@ -202,8 +202,8 @@ func Run(cfg Config) (*Outcome, error) {
 		CacheEntries: cons.Multi.Cache.Entries,
 		Context:      cons.Multi.Context,
 
-		ManyMeanLatency: meanLat(&many.Metrics),
-		ConsMeanLatency: meanLat(&cons.Metrics),
+		ManyMeanLatency: meanLat(many),
+		ConsMeanLatency: meanLat(&cons.Result),
 
 		Agree: engine.SameResults(many, &cons.Result),
 	}, nil

@@ -233,11 +233,12 @@ func AggregateMany(data RecordLibrary, aggs []*lang.AggProgram, opts Options) (*
 	res.Records = data.NumRecords()
 	res.Aggs = len(aggs)
 	res.Groups = len(aggs)
+	lib := data.Clone()
 	for qi, a := range aggs {
 		if err := lang.CheckAgg(a); err != nil {
 			return nil, err
 		}
-		out, err := aggregateOne(data, a, opts, &res.AggMetrics)
+		out, err := aggregateOne(lib, a, opts, &res.AggMetrics)
 		if err != nil {
 			return nil, fmt.Errorf("engine: aggregation %s: %w", a.Name, err)
 		}

@@ -193,50 +193,9 @@ func TestBatchDispatchParity(t *testing.T) {
 	}
 }
 
-// TestBatchedConsolidatedZeroAlloc pins the allocation contract of the
-// batched consolidated stage, guard+lite-decode included: once a worker is
-// constructed and warm, evaluating a batch performs zero allocations.
-func TestBatchedConsolidatedZeroAlloc(t *testing.T) {
-	const n, bsize = 512, 128
-	d := newLiteToy(n)
-	udfs := gatedToyUDFs(2, 60)
-	merged, _, err := consolidate.All(udfs, consolidate.Options{FuncCoster: d}, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedC, err := lang.Compile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard := prefilter.Synthesize(merged, prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()})
-	if guard == nil || guard.Trivial {
-		t.Fatal("expected a non-trivial guard; the guard+lite-decode stage would be skipped")
-	}
-	opts := Options{BatchSize: bsize}
-	eval := consolidatedWorker(mergedC, len(udfs), guard, opts)(d.Clone())
-	backing := make([]bool, bsize*len(udfs))
-	rows := make([][]bool, bsize)
-	for i := range rows {
-		off := i * len(udfs)
-		rows[i] = backing[off : off+len(udfs) : off+len(udfs)]
-	}
-	lat := make([]int64, len(udfs))
-	for lo := 0; lo < n; lo += bsize {
-		if _, err := eval(lo, lo+bsize, rows, lat); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eval(bsize, 2*bsize, rows, lat); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("batched consolidated stage allocates %v per batch, want 0", allocs)
-	}
-}
-
-// TestBatchedWhereManyZeroAlloc extends the pin to the whereMany stage.
+// TestBatchedWhereManyZeroAlloc pins the allocation contract of the
+// whereMany stage: once a worker is constructed and warm, evaluating a
+// batch performs zero allocations.
 func TestBatchedWhereManyZeroAlloc(t *testing.T) {
 	const n, bsize = 512, 128
 	d := toy(n)
@@ -251,21 +210,16 @@ func TestBatchedWhereManyZeroAlloc(t *testing.T) {
 		compiled[i] = c
 		ids[i] = 1
 	}
-	eval := whereManyWorker(udfs, compiled, ids, Options{BatchSize: bsize})(d.Clone())
-	backing := make([]bool, bsize*len(udfs))
-	rows := make([][]bool, bsize)
-	for i := range rows {
-		off := i * len(udfs)
-		rows[i] = backing[off : off+len(udfs) : off+len(udfs)]
-	}
-	lat := make([]int64, len(udfs))
+	res, _ := newResult(n, len(udfs))
+	eval := whereManyWorker(udfs, compiled, ids, Options{BatchSize: bsize})(d.Clone(), res.Bools, res.LatencySum)
+	var m Metrics
 	for lo := 0; lo < n; lo += bsize {
-		if _, err := eval(lo, lo+bsize, rows, lat); err != nil {
+		if err := eval(lo, lo+bsize, &m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eval(bsize, 2*bsize, rows, lat); err != nil {
+		if err := eval(bsize, 2*bsize, &m); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -274,15 +228,98 @@ func TestBatchedWhereManyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchedRegistryZeroAlloc pins the registry pass's compute/publish
-// split: the evaluate stage (guard sweep, merged program, verbatim pending
-// queries) is allocation-free per batch; only publish materialises verdict
-// maps.
+// fullOnly hides a dataset's lite interfaces, so admission guards fuse
+// into the full-decode stage.
+type fullOnly struct{ RecordLibrary }
+
+func (f fullOnly) Clone() RecordLibrary { return fullOnly{f.RecordLibrary.Clone()} }
+
+// requireSnapPassZeroAlloc pins the allocation contract of the shared
+// per-worker snapshot pass over one source shape: once a worker has
+// swapped to a generation and is warm, a batch — generation load, guard
+// stage, merged programs, verbatim pending queries — performs zero
+// allocations; only the keyed front ends' publish step allocates (verdict
+// maps). Each shape runs with the guard on the lite decode and fused after
+// the full decode, at two batch sizes; two independent passes per case
+// model two workers over their own clones. dense, when positive, gives
+// the pass a dense verdict backing of that length, as WhereConsolidated
+// does.
+func requireSnapPassZeroAlloc(t *testing.T, d *liteToy, n int, name string, src genSource, clusters int, pending bool, dense int) {
+	t.Helper()
+	for _, fused := range []bool{false, true} {
+		for _, bsize := range []int{32, 128} {
+			for wk := 0; wk < 2; wk++ {
+				label := fmt.Sprintf("%s/fused=%v/batch=%d/worker=%d", name, fused, bsize, wk)
+				var lib RecordLibrary = d.Clone()
+				if fused {
+					lib = fullOnly{lib}
+				}
+				p := newSnapPass(lib, Options{BatchSize: bsize}, src)
+				if dense > 0 {
+					p.dense = make([]bool, dense)
+				}
+				var m Metrics
+				for lo := 0; lo < n; lo += bsize {
+					if err := p.batch(lo, lo+bsize, &m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				guarded := 0
+				for ci := range p.cls {
+					if p.cls[ci].guardRn != nil {
+						guarded++
+					}
+				}
+				if len(p.cls) < clusters || guarded == 0 || p.pending != pending || p.fused != fused {
+					t.Fatalf("%s: %d clusters (%d guarded), pending=%v fused=%v; the case does not exercise its stages",
+						label, len(p.cls), guarded, p.pending, p.fused)
+				}
+				if m.Rejected == 0 {
+					t.Fatalf("%s: the guard rejected nothing", label)
+				}
+				allocs := testing.AllocsPerRun(100, func() {
+					if err := p.batch(bsize, 2*bsize, &m); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s: evaluation allocates %v per batch, want 0", label, allocs)
+				}
+			}
+		}
+	}
+}
+
+const pendToyUDF = `func pend(r) { notify 3 (val(r) > 10); }`
+
+// TestBatchedConsolidatedZeroAlloc pins the snapshot pass over a frozen
+// consolidated snapshot, evaluated into a dense backing as
+// WhereConsolidated does.
+func TestBatchedConsolidatedZeroAlloc(t *testing.T) {
+	const n = 512
+	d := newLiteToy(n)
+	udfs := gatedToyUDFs(2, 60)
+	merged, _, err := consolidate.All(udfs, consolidate.Options{FuncCoster: d}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mergedC, err := lang.Compile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := prefilter.Synthesize(merged, prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()})
+	frozen := &registry.Snapshot{Merged: merged, Compiled: mergedC, Guard: guard, Slots: []registry.QueryID{0, 1}}
+	requireSnapPassZeroAlloc(t, d, n, "frozen", frozenSource(clusterSnap{snap: frozen}), 1, false, n*len(frozen.Slots))
+}
+
+// TestBatchedRegistryZeroAlloc pins the snapshot pass over a registry
+// delta snapshot: a guarded merged program plus one post-rebuild
+// addition, kept pending by a frozen debounce.
 func TestBatchedRegistryZeroAlloc(t *testing.T) {
-	const n, bsize = 512, 64
+	const n = 512
 	d := newLiteToy(n)
 	reg, err := registry.New(registry.Options{
-		Debounce:  time.Hour, // freeze background rebuilds: the pending query must stay pending
+		Debounce:  time.Hour,
 		Prefilter: &prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()},
 	})
 	if err != nil {
@@ -297,38 +334,25 @@ func TestBatchedRegistryZeroAlloc(t *testing.T) {
 	if _, err := reg.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	// One post-rebuild addition exercises the verbatim pending stage.
-	if _, err := reg.Add(lang.MustParse(`func pend(r) { notify 3 (val(r) > 10); }`)); err != nil {
+	if _, err := reg.Add(lang.MustParse(pendToyUDF)); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap.Guard == nil || snap.Guard.Trivial {
-		t.Fatal("expected a non-trivial registry guard")
-	}
-	if len(snap.Pending) == 0 {
-		t.Fatal("expected a pending query in the delta snapshot")
-	}
+	requireSnapPassZeroAlloc(t, d, n, "registry-delta", registrySource(reg), 1, true, 0)
+}
 
-	out := &RegistryResult{
-		Verdicts: make([]map[registry.QueryID]bool, n),
-		Gens:     make([]uint64, n),
-	}
-	p := newRegPass(d, out, Options{BatchSize: bsize})
-	if err := p.swapTo(snap); err != nil {
+// TestWhereShardedZeroAlloc pins the snapshot pass over a multi-cluster
+// shard with a pending query.
+func TestWhereShardedZeroAlloc(t *testing.T) {
+	const n = 512
+	d := newLiteToy(n)
+	sh, greg, _, _, _ := shardedFixture(t, d, 4)
+	defer sh.Close()
+	greg.Close() // fixture convenience; unused here
+	if _, err := sh.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < n; lo += bsize {
-		if err := p.evalBatch(lo, lo+bsize); err != nil {
-			t.Fatal(err)
-		}
-		p.publish(lo, lo+bsize)
+	if _, err := sh.Add(lang.MustParse(pendToyUDF)); err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.evalBatch(bsize, 2*bsize); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("registry evaluate stage allocates %v per batch, want 0", allocs)
-	}
+	requireSnapPassZeroAlloc(t, d, n, "shard", shardSource(sh), 2, true, 0)
 }

@@ -12,14 +12,23 @@
 // Comparing the two isolates exactly the benefit of UDF consolidation, as
 // in Figures 9 and 10.
 //
-// Dispatch is batched: the record stream is sharded into fixed-size
-// contiguous batches claimed dynamically by workers, and the per-record
-// stages — lite decode, admission guard, merged-program execution, metrics
-// and latency stamping — run as per-batch stages that amortize snapshot
-// checks, guard setup, and timer reads across the batch. Verdicts, costs,
-// and per-notification stamps are byte-identical at every Workers/BatchSize
-// combination: every accumulation the pass performs is a commutative sum,
-// and each verdict row is written by exactly one worker.
+// WhereConsolidated, WhereRegistry and WhereSharded are three front ends
+// of one snapshot pass (pass.go): a worker evaluates each batch against a
+// generation of clusters — registry snapshots with their id mappings — by
+// running every cluster's admission guard over a lite decode, then paying
+// the full decode only for records some cluster admitted. The front ends
+// differ in where the generation comes from (a frozen one-cluster
+// snapshot, a live registry, a sharded registry) and in how verdicts are
+// published (dense rows or id-keyed maps).
+//
+// Dispatch is batched: runPass shards the record stream into fixed-size
+// contiguous batches claimed dynamically by workers, each over its own
+// clone of the dataset, and the per-record stages run as per-batch stages
+// that amortize snapshot checks, guard setup, and timer reads across the
+// batch. Verdicts, costs, and per-notification stamps are byte-identical at
+// every Workers/BatchSize combination: every accumulation the pass performs
+// is a commutative sum, and each verdict row is written by exactly one
+// worker.
 package engine
 
 import (
@@ -33,6 +42,7 @@ import (
 	"consolidation/internal/consolidate"
 	"consolidation/internal/lang"
 	"consolidation/internal/prefilter"
+	"consolidation/internal/registry"
 	"consolidation/internal/smt"
 )
 
@@ -77,23 +87,65 @@ type LiteSpanLibrary interface {
 	SetRecordLiteSpan(lo, hi int)
 }
 
-// Metrics summarises one operator execution.
+// Metrics summarises one predicate pass; WhereMany, WhereConsolidated,
+// WhereRegistry and WhereSharded all report it. Counts that a pass shape
+// cannot produce stay zero (a frozen consolidated snapshot never swaps or
+// runs pending queries).
 type Metrics struct {
 	Records int
-	UDFs    int
 	// Batches counts batch dispatches (ceil(Records / batch size) on a
-	// completed pass).
+	// completed pass). Swaps counts generation changes a worker picked up at
+	// a batch boundary; each took effect atomically, so every record of a
+	// batch was evaluated against one generation. With several workers each
+	// worker swaps on its own, so Swaps depends on scheduling.
 	Batches int
-	// UDFCost is the summed abstract cost (Figure 2 semantics) of all UDF
-	// evaluations — the engine-independent measure of computation.
+	Swaps   int
+	// PendingRuns counts verbatim executions of not-yet-consolidated
+	// queries; SuppressedNotifies counts notifications dropped because the
+	// query unsubscribed after the running program was built. Both are zero
+	// while the served snapshots are clean.
+	PendingRuns        int
+	SuppressedNotifies int
+	// UDFCost is the summed abstract cost (Figure 2 semantics) of all UDF,
+	// merged-program, pending-query and guard evaluations — the
+	// engine-independent measure of computation.
 	UDFCost int64
-	// UDFTime is wall time spent inside UDF evaluation (the guard stage is
-	// timed per batch and includes the lite decode; merged-program and
-	// whereMany evaluation are timed per record, excluding the full decode).
+	// UDFTime is wall time spent inside UDF evaluation. The lite guard stage
+	// is timed per batch and includes the lite decode; every other UDF,
+	// merged-program, pending-query or fused-guard run is timed per record,
+	// excluding the full decode.
 	UDFTime time.Duration
 	// TotalTime is wall time for the whole pass, including record decode
 	// and result collection.
 	TotalTime time.Duration
+	// Admitted and Rejected count admission verdicts, one per record and
+	// cluster: clusters without a non-trivial guard admit unconditionally,
+	// so Admitted+Rejected = Records × clusters on a quiescent pass.
+	Admitted int
+	Rejected int
+	// GuardCost is the summed abstract cost of guard evaluations; it is also
+	// included in UDFCost (the guard is part of the work the pass performs).
+	GuardCost int64
+}
+
+// add folds one worker's metrics into the pass totals.
+func (m *Metrics) add(o *Metrics) {
+	m.Batches += o.Batches
+	m.Swaps += o.Swaps
+	m.PendingRuns += o.PendingRuns
+	m.SuppressedNotifies += o.SuppressedNotifies
+	m.UDFCost += o.UDFCost
+	m.UDFTime += o.UDFTime
+	m.Admitted += o.Admitted
+	m.Rejected += o.Rejected
+	m.GuardCost += o.GuardCost
+}
+
+// Result of a position-keyed filter operator: Bools[i][q] reports whether
+// record i passed UDF q, plus metrics.
+type Result struct {
+	Bools [][]bool
+	UDFs  int
 	// Selected counts records each UDF accepted.
 	Selected []int
 	// LatencySum[q] accumulates, over all records, the abstract cost at
@@ -103,29 +155,42 @@ type Metrics struct {
 	// discusses: consolidation optimises completion time and may trade
 	// individual-query latency for it.
 	LatencySum []int64
-	// Admitted and Rejected count the admission pre-filter's verdicts.
-	// Unfiltered passes admit every record.
-	Admitted int
-	Rejected int
-	// GuardCost is the summed abstract cost of guard evaluations; it is also
-	// included in UDFCost (the guard is part of the work the pass performs).
-	GuardCost int64
+	Metrics
 }
 
 // MeanLatency returns the average notification latency of UDF q in cost
 // units, or 0 when nothing ran.
-func (m *Metrics) MeanLatency(q int) float64 {
-	if m.Records == 0 || q < 0 || q >= len(m.LatencySum) {
+func (r *Result) MeanLatency(q int) float64 {
+	if r.Records == 0 || q < 0 || q >= len(r.LatencySum) {
 		return 0
 	}
-	return float64(m.LatencySum[q]) / float64(m.Records)
+	return float64(r.LatencySum[q]) / float64(r.Records)
 }
 
-// Result of a filter operator: Bools[i][q] reports whether record i passed
-// UDF q, plus metrics.
-type Result struct {
-	Bools [][]bool
-	Metrics
+// newResult allocates a pass's verdict rows over one contiguous backing
+// (returned too), pre-sliced with full slice expressions so rows stay
+// independent.
+func newResult(n, nUDFs int) (*Result, []bool) {
+	backing := make([]bool, n*nUDFs)
+	rows := make([][]bool, n)
+	for i := range rows {
+		off := i * nUDFs
+		rows[i] = backing[off : off+nUDFs : off+nUDFs]
+	}
+	return &Result{Bools: rows, UDFs: nUDFs, LatencySum: make([]int64, nUDFs)}, backing
+}
+
+// finish stamps the pass's wall time and counts each UDF's selections.
+func (r *Result) finish(start time.Time) {
+	r.TotalTime = time.Since(start)
+	r.Selected = make([]int, r.UDFs)
+	for _, row := range r.Bools {
+		for q, v := range row {
+			if v {
+				r.Selected[q]++
+			}
+		}
+	}
 }
 
 // DefaultBatchSize is the records-per-batch used when Options.BatchSize is
@@ -214,21 +279,29 @@ func WhereMany(data RecordLibrary, udfs []*lang.Program, opts Options) (*Result,
 		}
 		compiled[i] = c
 	}
+	res, _ := newResult(data.NumRecords(), len(udfs))
 	start := time.Now()
-	res, err := runPass(data, opts, whereManyWorker(udfs, compiled, ids, opts), len(udfs))
+	err := runPass(data, opts, &res.Metrics, func(lib RecordLibrary) (batchFn, func()) {
+		lat := make([]int64, len(udfs))
+		return whereManyWorker(udfs, compiled, ids, opts)(lib, res.Bools, lat), func() {
+			for q, v := range lat {
+				res.LatencySum[q] += v
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.TotalTime = time.Since(start)
-	finishMetrics(res, len(udfs))
+	res.finish(start)
 	return res, nil
 }
 
 // whereManyWorker builds the per-worker batch stage of WhereMany: one
 // runner per UDF, resolved and arity-checked once, then driven through the
-// single-argument batch entry point record by record.
-func whereManyWorker(udfs []*lang.Program, compiled []*lang.Compiled, ids []int, opts Options) func(lib RecordLibrary) batchFn {
-	return func(lib RecordLibrary) batchFn {
+// single-argument batch entry point record by record, writing record i's
+// verdicts to rows[i] and its latency stamps to the worker's lat.
+func whereManyWorker(udfs []*lang.Program, compiled []*lang.Compiled, ids []int, opts Options) func(lib RecordLibrary, rows [][]bool, lat []int64) batchFn {
+	return func(lib RecordLibrary, rows [][]bool, lat []int64) batchFn {
 		runners := make([]*lang.Runner, len(compiled))
 		noteIdx := make([]int, len(compiled))
 		for i, c := range compiled {
@@ -241,21 +314,20 @@ func whereManyWorker(udfs []*lang.Program, compiled []*lang.Compiled, ids []int,
 			// dense note slot resolves here, outside the batch loop.
 			noteIdx[i], _ = c.NoteIndex(ids[i])
 		}
-		return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-			var out batchOut
+		return func(lo, hi int, m *Metrics) error {
 			for i := lo; i < hi; i++ {
 				lib.SetRecord(i)
-				row := rows[i-lo]
+				row := rows[i]
 				var recCost int64
 				t0 := time.Now()
 				for q, rn := range runners {
 					c, err := rn.RunDense1(int64(i))
 					if err != nil {
-						return batchOut{}, fmt.Errorf("engine: UDF %s on record %d: %w", udfs[q].Name, i, err)
+						return fmt.Errorf("engine: UDF %s on record %d: %w", udfs[q].Name, i, err)
 					}
 					v, ok := rn.NoteAt(noteIdx[q])
 					if !ok {
-						return batchOut{}, fmt.Errorf("engine: UDF %s did not notify id %d on record %d", udfs[q].Name, ids[q], i)
+						return fmt.Errorf("engine: UDF %s did not notify id %d on record %d", udfs[q].Name, ids[q], i)
 					}
 					// Sequential execution: this UDF's notification waited for
 					// all earlier UDFs on this record.
@@ -263,11 +335,11 @@ func whereManyWorker(udfs []*lang.Program, compiled []*lang.Compiled, ids []int,
 					recCost += c
 					row[q] = v
 				}
-				out.udfTime += time.Since(t0)
-				out.cost += recCost
-				out.admitted++
+				m.UDFTime += time.Since(t0)
+				m.UDFCost += recCost
+				m.Admitted++
 			}
-			return out, nil
+			return nil
 		}
 	}
 }
@@ -289,7 +361,8 @@ type ConsolidatedResult struct {
 
 // WhereConsolidated consolidates the UDFs into a single program (notify ids
 // renumbered to UDF positions) and evaluates it once per record — the
-// whereConsolidated operator of Section 6.1.
+// whereConsolidated operator of Section 6.1. The pass is the shared
+// snapshot pass over a frozen one-cluster snapshot whose slot q is UDF q.
 func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolidate.Options, opts Options) (*ConsolidatedResult, error) {
 	for _, p := range udfs {
 		if err := validateUDF(p); err != nil {
@@ -334,264 +407,63 @@ func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolida
 		prefTime = time.Since(t1)
 	}
 
+	frozen := &registry.Snapshot{Merged: merged, Compiled: mergedC, Guard: guard, Slots: make([]registry.QueryID, len(udfs))}
+	for q := range frozen.Slots {
+		frozen.Slots[q] = registry.QueryID(q)
+	}
+	src := frozenSource(clusterSnap{snap: frozen})
+	res, backing := newResult(data.NumRecords(), len(udfs))
 	start := time.Now()
-	res, err := runPass(data, opts, consolidatedWorker(mergedC, len(udfs), guard, opts), len(udfs))
+	err = runPass(data, opts, &res.Metrics, func(lib RecordLibrary) (batchFn, func()) {
+		p := newSnapPass(lib, opts, src)
+		p.dense = backing
+		return p.batch, func() {
+			for gid, v := range p.latency() {
+				res.LatencySum[gid] += v
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.TotalTime = time.Since(start)
-	finishMetrics(res, len(udfs))
+	res.finish(start)
 	return &ConsolidatedResult{
 		Result: *res, ConsolidateTime: consTime, Multi: ms, Merged: merged,
 		Guard: guard, PrefilterTime: prefTime,
 	}, nil
 }
 
-// consolidatedWorker builds the per-worker batch stages of
-// WhereConsolidated: a guard stage (lite decode + admission pre-filter,
-// skipped entirely for trivial guards) and a merged-program stage over the
-// admitted records. Runners are constructed and arity-checked once per
-// worker; the guard stage shares one timer pair per batch.
-func consolidatedWorker(mergedC *lang.Compiled, nUDFs int, guard *prefilter.Guard, opts Options) func(lib RecordLibrary) batchFn {
-	filtered := guard != nil && !guard.Trivial
-	return func(lib RecordLibrary) batchFn {
-		rn := lang.NewRunner(mergedC, lib)
-		rn.MaxSteps = opts.MaxSteps
-		if err := rn.BeginBatch1(); err != nil {
-			return failingBatch(err)
-		}
-		// Notify ids were renumbered to query positions 0..n-1; resolve
-		// each to its dense note slot once. -1 marks an id the merged
-		// program can never broadcast (reported per record below).
-		noteIdx := make([]int, nUDFs)
-		for q := range noteIdx {
-			k, ok := mergedC.NoteIndex(q)
-			if !ok {
-				k = -1
-			}
-			noteIdx[q] = k
-		}
-		if !filtered {
-			return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-				var out batchOut
-				for i := lo; i < hi; i++ {
-					lib.SetRecord(i)
-					t0 := time.Now()
-					cost, err := rn.RunDense1(int64(i))
-					out.udfTime += time.Since(t0)
-					if err != nil {
-						return batchOut{}, fmt.Errorf("engine: consolidated UDF on record %d: %w", i, err)
-					}
-					out.cost += cost
-					row := rows[i-lo]
-					for q, k := range noteIdx {
-						v, ok := rn.NoteAt(k)
-						if !ok {
-							return batchOut{}, fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, i)
-						}
-						row[q] = v
-						lat[q] += rn.NoteCostAt(k)
-					}
-					out.admitted++
-				}
-				return out, nil
-			}
-		}
-		grn := lang.NewRunner(guard.Compiled, lib)
-		grn.MaxSteps = opts.MaxSteps
-		if err := grn.BeginBatch1(); err != nil {
-			return failingBatch(err)
-		}
-		glite, _ := lib.(LiteRecordLibrary)
-		if glite == nil {
-			// No lite decode available: the guard runs after the full decode,
-			// so the guard and merged stages fuse per record — the decode is
-			// shared, exactly as on a lite-capable dataset's admitted path.
-			return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-				var out batchOut
-				for i := lo; i < hi; i++ {
-					lib.SetRecord(i)
-					row := rows[i-lo]
-					t0 := time.Now()
-					gcost, gerr := grn.RunDense1(int64(i))
-					out.udfTime += time.Since(t0)
-					// A guard runtime error fails open: the record is admitted
-					// and the merged program decides (and surfaces its own
-					// error, if any). Guard cost still counts — the work
-					// happened.
-					var grec int64
-					if gerr == nil {
-						grec = gcost
-						out.cost += gcost
-						out.guardCost += gcost
-						if !guard.Admits(grn) {
-							if err := rejectRow(row, noteIdx, lat, grn.NoteCostAt(guard.NoteIdx), i); err != nil {
-								return batchOut{}, err
-							}
-							continue
-						}
-					}
-					t1 := time.Now()
-					cost, err := rn.RunDense1(int64(i))
-					out.udfTime += time.Since(t1)
-					if err != nil {
-						return batchOut{}, fmt.Errorf("engine: consolidated UDF on record %d: %w", i, err)
-					}
-					out.cost += cost
-					for q, k := range noteIdx {
-						v, ok := rn.NoteAt(k)
-						if !ok {
-							return batchOut{}, fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, i)
-						}
-						row[q] = v
-						lat[q] += grec + rn.NoteCostAt(k)
-					}
-					out.admitted++
-				}
-				return out, nil
-			}
-		}
-		gspan, _ := lib.(LiteSpanLibrary)
-		// Per-worker batch scratch: the guard stage records each record's
-		// admission verdict and guard cost so the merged stage can stamp
-		// admitted-record latencies with the right guard share.
-		bsize := opts.batchSize()
-		admit := make([]bool, bsize)
-		gcosts := make([]int64, bsize)
-		return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-			var out batchOut
-			// Guard stage: lite-decode the span once, then run the guard over
-			// the batch. One timer pair covers the stage (the lite decode is
-			// near-zero by contract, so including it keeps the metric honest
-			// without a per-record timer read).
-			if gspan != nil {
-				gspan.SetRecordLiteSpan(lo, hi)
-			}
-			nrej := 0
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				k := i - lo
-				glite.SetRecordLite(i)
-				admit[k], gcosts[k] = true, 0
-				gcost, gerr := grn.RunDense1(int64(i))
-				if gerr != nil {
-					// Fail open; no cost counted for a run that errored out.
-					continue
-				}
-				out.cost += gcost
-				out.guardCost += gcost
-				gcosts[k] = gcost
-				if !guard.Admits(grn) {
-					// Rejected: the guard is a necessary condition for every
-					// notification, so all verdicts are false. The
-					// notification ids must still all be broadcastable — the
-					// same structural check the full run performs.
-					admit[k] = false
-					nrej++
-					if err := rejectRow(rows[k], noteIdx, lat, grn.NoteCostAt(guard.NoteIdx), i); err != nil {
-						return batchOut{}, err
-					}
-				}
-			}
-			out.udfTime += time.Since(t0)
-			if nrej == hi-lo {
-				return out, nil
-			}
-			// Merged stage: pay the full decode and run the merged program
-			// for the admitted records only.
-			for i := lo; i < hi; i++ {
-				k := i - lo
-				if !admit[k] {
-					continue
-				}
-				lib.SetRecord(i)
-				t1 := time.Now()
-				cost, err := rn.RunDense1(int64(i))
-				out.udfTime += time.Since(t1)
-				if err != nil {
-					return batchOut{}, fmt.Errorf("engine: consolidated UDF on record %d: %w", i, err)
-				}
-				out.cost += cost
-				row := rows[k]
-				for q, kn := range noteIdx {
-					v, ok := rn.NoteAt(kn)
-					if !ok {
-						return batchOut{}, fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, i)
-					}
-					row[q] = v
-					lat[q] += gcosts[k] + rn.NoteCostAt(kn)
-				}
-				out.admitted++
-			}
-			return out, nil
-		}
-	}
-}
-
-// rejectRow records a guard rejection: every verdict false, every latency
-// stamped at the guard's notification cost. A notify id the merged program
-// cannot broadcast is the same structural error the admitted path reports.
-func rejectRow(row []bool, noteIdx []int, lat []int64, stamp int64, rec int) error {
-	for q, k := range noteIdx {
-		if k == -1 {
-			return fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, rec)
-		}
-		row[q] = false
-		lat[q] += stamp
-	}
-	return nil
-}
-
-// batchOut reports one batch evaluation: total abstract cost (guard
-// included), the guard's share of it, wall time inside UDF/guard execution,
-// and how many of the batch's records the admission pre-filter admitted
-// (unfiltered passes admit everything).
-type batchOut struct {
-	cost      int64
-	guardCost int64
-	udfTime   time.Duration
-	admitted  int
-}
-
-// batchFn evaluates the record batch [lo, hi) into its verdict rows
-// (rows[i-lo] is record i's row) and latency accumulator. Record selection
-// (SetRecord, SetRecordLite, or a lite span) is the batchFn's
-// responsibility, so a pre-filter stage can defer full decodes until a
-// record is admitted.
-type batchFn func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error)
+// batchFn evaluates the record batch [lo, hi) into the worker's metrics.
+// Record selection (SetRecord, SetRecordLite, or a lite span) is the
+// batchFn's responsibility, so a pre-filter stage can defer full decodes
+// until a record is admitted.
+type batchFn func(lo, hi int, m *Metrics) error
 
 // failingBatch is a batchFn that reports a worker-construction error on
 // first dispatch (runPass surfaces it as the pass error).
 func failingBatch(err error) batchFn {
-	return func(int, int, [][]bool, []int64) (batchOut, error) { return batchOut{}, err }
+	return func(int, int, *Metrics) error { return err }
 }
 
 // runPass shards the record stream into fixed-size contiguous batches and
-// lets workers claim them dynamically off a shared counter. Each worker
-// owns a library clone, compiled runners, scratch arenas, and a latency
-// accumulator, and calls its batchFn once per claimed batch; per-pass
-// totals merge once per worker under the mutex. The verdict rows of the
-// whole pass share one backing allocation, pre-sliced with full slice
-// expressions so rows stay independent.
-func runPass(data RecordLibrary, opts Options,
-	makeWorker func(lib RecordLibrary) batchFn,
-	nUDFs int) (*Result, error) {
-
+// lets workers claim them dynamically off a shared counter. start builds
+// one worker over its own library clone — no pass moves the caller's
+// library — and returns the worker's batchFn and a fold step; each worker
+// accumulates metrics locally, and after its last batch its metrics and
+// fold step merge into the pass under the mutex. Every accumulation is a
+// commutative sum and each record is evaluated by exactly one worker, so
+// results are byte-identical at every Workers × BatchSize combination.
+func runPass(data RecordLibrary, opts Options, total *Metrics, start func(lib RecordLibrary) (batchFn, func())) error {
 	n := data.NumRecords()
+	total.Records = n
 	if n == 0 {
-		return &Result{Bools: [][]bool{}, Metrics: Metrics{UDFs: nUDFs, LatencySum: make([]int64, nUDFs)}}, nil
+		return nil
 	}
 	bsize := opts.batchSize()
 	nBatches := (n + bsize - 1) / bsize
 	workers := opts.workers()
 	if workers > nBatches {
 		workers = nBatches
-	}
-	backing := make([]bool, n*nUDFs)
-	rows := make([][]bool, n)
-	for i := range rows {
-		off := i * nUDFs
-		rows[i] = backing[off : off+nUDFs : off+nUDFs]
 	}
 	var (
 		wg       sync.WaitGroup
@@ -605,36 +477,22 @@ func runPass(data RecordLibrary, opts Options,
 		// unclaimed batch, so a worker stuck on a slow batch never strands
 		// the rest of its range (dynamic load balancing over a contiguous,
 		// record-index-keyed partition).
-		next      atomic.Int64
-		cost      int64
-		guardCost int64
-		admitted  int
-		batches   int
-		udfTime   time.Duration
-		latency   = make([]int64, nUDFs)
+		next atomic.Int64
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lib := data.Clone()
-			eval := makeWorker(lib)
-			var localCost, localGuard int64
-			var localTime time.Duration
-			localAdmitted, localBatches := 0, 0
-			localLat := make([]int64, nUDFs)
+			eval, fold := start(data.Clone())
+			var m Metrics
 			for !done.Load() {
 				b := int(next.Add(1)) - 1
 				if b >= nBatches {
 					break
 				}
 				lo := b * bsize
-				hi := lo + bsize
-				if hi > n {
-					hi = n
-				}
-				out, err := eval(lo, hi, rows[lo:hi], localLat)
-				if err != nil {
+				hi := min(lo+bsize, n)
+				if err := eval(lo, hi, &m); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -643,47 +501,16 @@ func runPass(data RecordLibrary, opts Options,
 					done.Store(true)
 					break
 				}
-				localCost += out.cost
-				localGuard += out.guardCost
-				localTime += out.udfTime
-				localAdmitted += out.admitted
-				localBatches++
+				m.Batches++
 			}
 			mu.Lock()
-			cost += localCost
-			guardCost += localGuard
-			admitted += localAdmitted
-			batches += localBatches
-			udfTime += localTime
-			for q, v := range localLat {
-				latency[q] += v
-			}
+			total.add(&m)
+			fold()
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &Result{
-		Bools: rows,
-		Metrics: Metrics{
-			Records: n, UDFs: nUDFs, Batches: batches,
-			UDFCost: cost, UDFTime: udfTime, LatencySum: latency,
-			Admitted: admitted, Rejected: n - admitted, GuardCost: guardCost,
-		},
-	}, nil
-}
-
-func finishMetrics(r *Result, nUDFs int) {
-	r.Selected = make([]int, nUDFs)
-	for _, row := range r.Bools {
-		for q, v := range row {
-			if v {
-				r.Selected[q]++
-			}
-		}
-	}
+	return firstErr
 }
 
 // SameResults reports whether two operator results selected exactly the

@@ -59,7 +59,7 @@ func thresholdUDFs(ks ...int64) []*lang.Program {
 // TestMeanLatencyBounds pins the out-of-range guards: a negative or
 // too-large query index returns 0 instead of panicking.
 func TestMeanLatencyBounds(t *testing.T) {
-	m := &Metrics{Records: 10, LatencySum: []int64{150}}
+	m := &Result{Metrics: Metrics{Records: 10}, LatencySum: []int64{150}}
 	if got := m.MeanLatency(0); got != 15 {
 		t.Fatalf("MeanLatency(0) = %v, want 15", got)
 	}
@@ -68,7 +68,7 @@ func TestMeanLatencyBounds(t *testing.T) {
 			t.Fatalf("MeanLatency(%d) = %v, want 0", q, got)
 		}
 	}
-	var zero Metrics
+	var zero Result
 	if got := zero.MeanLatency(0); got != 0 {
 		t.Fatalf("zero-record MeanLatency = %v, want 0", got)
 	}
@@ -82,7 +82,7 @@ func TestWhereManyBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Records != 100 || res.UDFs != 3 {
-		t.Fatalf("metrics: %+v", res.Metrics)
+		t.Fatalf("metrics: %d records, %d UDFs, %+v", res.Records, res.UDFs, res.Metrics)
 	}
 	for i := 0; i < 100; i++ {
 		v := int64(i * 7 % 50)
@@ -261,7 +261,7 @@ func TestNotificationLatency(t *testing.T) {
 			cons.MeanLatency(last), many.MeanLatency(last))
 	}
 	// Completion (max latency over queries) must improve too.
-	maxOf := func(m *Metrics) float64 {
+	maxOf := func(m *Result) float64 {
 		best := 0.0
 		for q := 0; q < m.UDFs; q++ {
 			if l := m.MeanLatency(q); l > best {
@@ -270,33 +270,37 @@ func TestNotificationLatency(t *testing.T) {
 		}
 		return best
 	}
-	if maxOf(&cons.Metrics) >= maxOf(&many.Metrics) {
+	if maxOf(&cons.Result) >= maxOf(many) {
 		t.Errorf("consolidated completion latency did not improve")
 	}
 }
 
-// TestRunPassRowAllocation guards the per-worker verdict-row backing array:
-// runPass must not allocate one []bool per record. With the hoist, the whole
-// pass costs a handful of allocations regardless of record count; regressing
-// to per-record make([]bool, nUDFs) pushes the count past the record total.
+// TestRunPassRowAllocation guards the pass's verdict-row backing array:
+// a dense pass must not allocate one []bool per record. With the hoist, the
+// whole pass costs a handful of allocations regardless of record count;
+// regressing to per-record make([]bool, nUDFs) pushes the count past the
+// record total.
 func TestRunPassRowAllocation(t *testing.T) {
 	const records, nUDFs = 512, 4
 	d := &toyData{vals: make([]int64, records)}
 	allocs := testing.AllocsPerRun(5, func() {
-		res, err := runPass(d, Options{Workers: 1, BatchSize: 32}, func(lib RecordLibrary) batchFn {
-			return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
+		res, _ := newResult(records, nUDFs)
+		err := runPass(d, Options{Workers: 1, BatchSize: 32}, &res.Metrics, func(lib RecordLibrary) (batchFn, func()) {
+			return func(lo, hi int, m *Metrics) error {
 				for i := lo; i < hi; i++ {
 					lib.SetRecord(i)
-					rows[i-lo][i%nUDFs] = true
+					res.Bools[i][i%nUDFs] = true
 				}
-				return batchOut{cost: int64(hi - lo), admitted: hi - lo}, nil
-			}
-		}, nUDFs)
+				m.UDFCost += int64(hi - lo)
+				m.Admitted += hi - lo
+				return nil
+			}, func() {}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Bools) != records {
-			t.Fatalf("got %d rows, want %d", len(res.Bools), records)
+		if len(res.Bools) != records || res.Admitted != records {
+			t.Fatalf("got %d rows, %d admitted, want %d", len(res.Bools), res.Admitted, records)
 		}
 	})
 	// bools header slice, one backing array, worker bookkeeping and harness

@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"consolidation/internal/consolidate"
+	"consolidation/internal/shard"
 )
 
 // errData is a toyData variant whose library call fails on records past a
@@ -30,20 +33,50 @@ func (d *errData) Call(name string, args []int64) (int64, error) {
 // mid-run (a library call fails on some records while other workers are
 // still evaluating theirs) and asserts the engine's worker goroutines are
 // all gone afterwards: runPass must join every worker on the error path,
-// not abandon them.
+// not abandon them — under WhereMany and under the snapshot pass's
+// consolidated and sharded front ends.
 func TestCancellationNoGoroutineLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 8; i++ {
-		d := &errData{failAt: 20}
-		for r := 0; r < 200; r++ {
-			d.vals = append(d.vals, int64(r*7%50))
+	udfs := thresholdUDFs(10, 25, 40)
+	sh, err := shard.New(shard.Options{MaxClusterSize: 2, MinSimilarity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	for _, p := range udfs {
+		if _, err := sh.Add(p); err != nil {
+			t.Fatal(err)
 		}
-		// BatchSize 16 keeps all 4 workers in play (200 records, 13
-		// batches); the default batch size would clamp the pass to one
-		// worker here.
-		_, err := WhereMany(d, thresholdUDFs(10, 25, 40), Options{Workers: 4, BatchSize: 16})
-		if err == nil {
-			t.Fatal("expected injected failure to surface")
+	}
+	if _, err := sh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// BatchSize 16 keeps all 4 workers in play (200 records, 13 batches);
+	// the default batch size would clamp the pass to one worker here.
+	opts := Options{Workers: 4, BatchSize: 16}
+	passes := map[string]func(d RecordLibrary) error{
+		"many": func(d RecordLibrary) error {
+			_, err := WhereMany(d, udfs, opts)
+			return err
+		},
+		"consolidated": func(d RecordLibrary) error {
+			_, err := WhereConsolidated(d, udfs, consolidate.Options{}, opts)
+			return err
+		},
+		"sharded": func(d RecordLibrary) error {
+			_, err := WhereSharded(d, sh, opts)
+			return err
+		},
+	}
+	baseline := runtime.NumGoroutine()
+	for name, pass := range passes {
+		for i := 0; i < 8; i++ {
+			d := &errData{failAt: 20}
+			for r := 0; r < 200; r++ {
+				d.vals = append(d.vals, int64(r*7%50))
+			}
+			if pass(d) == nil {
+				t.Fatalf("%s: expected injected failure to surface", name)
+			}
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -85,7 +85,7 @@ func TestWhereRegistryQuiet(t *testing.T) {
 		}
 	}
 	if res.Swaps != 0 || res.PendingRuns != 0 || res.SuppressedNotifies != 0 {
-		t.Fatalf("quiet registry produced swap activity: %+v", res.RegistryMetrics)
+		t.Fatalf("quiet registry produced swap activity: %+v", res.Metrics)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,12 +13,12 @@ import (
 	"consolidation/internal/shard"
 )
 
-// sameSharded asserts every deterministic field of a sharded pass matches
-// the reference: verdict maps, generation stamps, costs, guard shares,
-// admission counts, pending/suppression counts, and per-query latency
-// stamps. Batches/Swaps/wall times depend on dispatch shape and are
+// sameKeyed asserts every deterministic field of a registry or sharded
+// pass matches the reference: verdict maps, generation stamps, costs, guard
+// shares, admission counts, pending/suppression counts, and per-query
+// latency stamps. Batches/Swaps/wall times depend on dispatch shape and are
 // excluded.
-func sameSharded(t *testing.T, label string, ref, got *ShardedResult) {
+func sameKeyed[ID ~uint64](t *testing.T, label string, ref, got *keyedResult[ID]) {
 	t.Helper()
 	if len(ref.Verdicts) != len(got.Verdicts) {
 		t.Fatalf("%s: %d verdict rows, reference %d", label, len(got.Verdicts), len(ref.Verdicts))
@@ -162,7 +163,7 @@ func TestWhereShardedParityMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameShardedLabel := fmt.Sprintf("%s/workers=%d/batch=%d", label, w, bs)
-				sameSharded(t, sameShardedLabel, ref, got)
+				sameKeyed(t, sameShardedLabel, &ref.keyedResult, &got.keyedResult)
 				wantBatches := (n + bs - 1) / bs
 				if bs > n {
 					wantBatches = 1
@@ -201,59 +202,6 @@ func TestWhereShardedParityMatrix(t *testing.T) {
 	phase("delta")
 }
 
-// TestWhereShardedZeroAlloc pins the allocation contract of the two-level
-// routing hot path: once a pass is swapped to a generation and warm, the
-// cluster-guard + dispatch evaluation stage performs zero allocations per
-// batch — across batch sizes and across independent per-worker passes.
-func TestWhereShardedZeroAlloc(t *testing.T) {
-	const n = 512
-	d := newLiteToy(n)
-	sh, greg, _, _, _ := shardedFixture(t, d, 4)
-	defer sh.Close()
-	greg.Close() // fixture convenience; unused here
-	if _, err := sh.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A pending query exercises the verbatim stage inside the alloc pin.
-	if _, err := sh.Add(lang.MustParse(`func pend(r) { notify 3 (val(r) > 10); }`)); err != nil {
-		t.Fatal(err)
-	}
-	snap := sh.Snapshot()
-	if len(snap.Clusters) < 2 {
-		t.Fatalf("expected >=2 clusters, got %d", len(snap.Clusters))
-	}
-
-	for _, bsize := range []int{32, 128} {
-		// Two independent passes model two workers: each owns its library
-		// clone, runners, and scratch; both must be allocation-free.
-		for wk := 0; wk < 2; wk++ {
-			out := &ShardedResult{
-				Verdicts:   make([]map[shard.QueryID]bool, n),
-				Gens:       make([]uint64, n),
-				LatencySum: map[shard.QueryID]int64{},
-			}
-			p := newShardPass(d.Clone(), out, Options{BatchSize: bsize})
-			if err := p.swapTo(snap); err != nil {
-				t.Fatal(err)
-			}
-			for lo := 0; lo < n; lo += bsize {
-				if err := p.evalBatch(lo, lo+bsize); err != nil {
-					t.Fatal(err)
-				}
-				p.publish(lo, lo+bsize)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if err := p.evalBatch(bsize, 2*bsize); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("worker %d batch=%d: evaluation stage allocates %v per batch, want 0", wk, bsize, allocs)
-			}
-		}
-	}
-}
-
 // TestWhereShardedErrorJoinsWorkers pins the error path: a query whose
 // library call cannot resolve fails the pass, and no worker goroutine may
 // outlive it.
@@ -284,5 +232,58 @@ func TestWhereShardedErrorJoinsWorkers(t *testing.T) {
 				baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWhereShardedConcurrentPassesShareDataset pins the clone policy: each
+// pass worker drives its own clone of the dataset and no pass moves the
+// caller's, so sharded and registry passes running concurrently over one
+// dataset do not race and reproduce their sequential results exactly.
+func TestWhereShardedConcurrentPassesShareDataset(t *testing.T) {
+	const n = 300
+	d := newLiteToy(n)
+	sh, greg, _, _, _ := shardedFixture(t, d, 4)
+	defer sh.Close()
+	defer greg.Close()
+	if _, err := sh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := greg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 2, BatchSize: 16}
+	sref, err := WhereSharded(d, sh, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gref, err := WhereRegistry(d, greg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const passes = 3
+	sres := make([]*ShardedResult, passes)
+	gres := make([]*RegistryResult, passes)
+	errs := make([]error, 2*passes)
+	var wg sync.WaitGroup
+	for i := 0; i < passes; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			sres[i], errs[2*i] = WhereSharded(d, sh, opts)
+		}()
+		go func() {
+			defer wg.Done()
+			gres[i], errs[2*i+1] = WhereRegistry(d, greg, opts)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < passes; i++ {
+		sameKeyed(t, fmt.Sprintf("sharded pass %d", i), &sref.keyedResult, &sres[i].keyedResult)
+		sameKeyed(t, fmt.Sprintf("registry pass %d", i), &gref.keyedResult, &gres[i].keyedResult)
 	}
 }

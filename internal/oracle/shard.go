@@ -38,6 +38,27 @@ func diffShardVsGlobal(label string, gref *engine.RegistryResult, sref *engine.S
 	return ""
 }
 
+// diffShardVsMany reports the first per-record divergence between a
+// sharded pass over a clean snapshot and WhereMany over the live queries,
+// where ids[q] is the shard id of WhereMany's column q.
+func diffShardVsMany(label string, many *engine.Result, sref *engine.ShardedResult, ids []shard.QueryID) string {
+	if len(many.Bools) != len(sref.Verdicts) {
+		return fmt.Sprintf("%s: %d sharded verdict rows, whereMany has %d", label, len(sref.Verdicts), len(many.Bools))
+	}
+	for i, row := range many.Bools {
+		if len(sref.Verdicts[i]) != len(ids) {
+			return fmt.Sprintf("%s: record %d notifies %d sharded queries, %d live", label, i, len(sref.Verdicts[i]), len(ids))
+		}
+		for q, sid := range ids {
+			sv, ok := sref.Verdicts[i][sid]
+			if !ok || sv != row[q] {
+				return fmt.Sprintf("%s: record %d query %d is %v/%v sharded, %v under whereMany", label, i, sid, sv, ok, row[q])
+			}
+		}
+	}
+	return ""
+}
+
 // diffSharded reports the first divergence between two sharded passes:
 // verdict maps, generation stamps, abstract costs (total and guard share),
 // admission counts, pending/suppression counts, or per-query latency stamp
@@ -92,7 +113,8 @@ func diffSharded(label string, ref, got *engine.ShardedResult) string {
 // routing and rebalance splits spread them across several clusters — and a
 // single global Registry; Add/Remove events interleave with record passes,
 // and at every step the sharded pass must notify exactly the queries the
-// global registry does (dirty delta snapshots included), while every
+// global registry does (dirty delta snapshots included) and, after every
+// flush, exactly the verdicts WhereMany gives over the live set, while every
 // Workers/BatchSize combination of WhereSharded must reproduce the
 // record-at-a-time sharded reference byte-identically — verdicts,
 // generation stamps, abstract costs, admission counts, latency stamp sums.
@@ -145,6 +167,7 @@ func CheckSharded(b *Batch, events int) *Failure {
 	defer greg.Close()
 
 	toShard := map[registry.QueryID]shard.QueryID{}
+	progOf := map[shard.QueryID]*lang.Program{}
 	var liveS []shard.QueryID
 	var liveG []registry.QueryID
 	clones := 0
@@ -161,6 +184,7 @@ func CheckSharded(b *Batch, events int) *Failure {
 			return failf(CheckErr, b, "registry.Add(%s): %v", q.Name, err)
 		}
 		toShard[gid] = sid
+		progOf[sid] = &q
 		liveS = append(liveS, sid)
 		liveG = append(liveG, gid)
 		return nil
@@ -213,6 +237,25 @@ func CheckSharded(b *Batch, events int) *Failure {
 		}
 		return nil
 	}
+	// vsMany holds a clean sharded pass to WhereMany over the live set: the
+	// sharded-vs-global diff runs the same pass code on both sides, so this
+	// is the reference that shares none of it.
+	vsMany := func(event string, sref *engine.ShardedResult) *Failure {
+		progs := make([]*lang.Program, len(liveS))
+		for q, sid := range liveS {
+			progs[q] = progOf[sid]
+		}
+		many, err := engine.WhereMany(d, progs, engine.Options{Workers: 1, BatchSize: 1})
+		if err != nil {
+			return failf(CheckErr, b, "WhereMany after %s: %v", event, err)
+		}
+		if msg := diffShardVsMany("after "+event, many, sref, liveS); msg != "" {
+			f := failf(CheckShard, b, "%s", msg)
+			f.Events = events
+			return f
+		}
+		return nil
+	}
 
 	for _, p := range udfs {
 		if f := add(p); f != nil {
@@ -224,6 +267,9 @@ func CheckSharded(b *Batch, events int) *Failure {
 	}
 	sref, f := pass("initial adds")
 	if f != nil {
+		return f
+	}
+	if f := vsMany("initial adds", sref); f != nil {
 		return f
 	}
 	if f := matrix("initial adds", sref); f != nil {
@@ -262,6 +308,9 @@ func CheckSharded(b *Batch, events int) *Failure {
 		}
 		sref, f := pass(event + ", flushed")
 		if f != nil {
+			return f
+		}
+		if f := vsMany(event+", flushed", sref); f != nil {
 			return f
 		}
 		// The full matrix once more on the final state; mid-churn events
